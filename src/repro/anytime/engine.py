@@ -21,10 +21,7 @@ import numpy as np
 
 from ..errors import ConfigError, SliceRateError
 from ..models.mlp import MLP
-from ..slicing.incremental import (
-    IncrementalLinearState,
-    widen,
-)
+from ..slicing.incremental import IncrementalLinearState, full_cost, widen
 from ..slicing.layers import SlicedLinear
 from ..slicing.plans import LinearStep, compile_layer
 
@@ -124,14 +121,7 @@ class AnytimeMLP:
 
     def from_scratch_cost(self, batch: int, rate: float) -> int:
         """Multiply-adds of a non-incremental pass at ``rate``."""
-        total = 0
-        for layer in self.layers:
-            out_w = (layer.out_partition.width_for(rate)
-                     if layer.slice_output else layer.out_features)
-            in_w = (layer.in_partition.width_for(rate)
-                    if layer.slice_input else layer.in_features)
-            total += batch * out_w * in_w
-        return total
+        return sum(full_cost(layer, batch, rate) for layer in self.layers)
 
     # ------------------------------------------------------------------
     def _base_plan(self) -> list[LinearStep]:

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..nn.module import Module
 from ..slicing.context import slice_profile
+from ..slicing.deploy import arriving_rates
 from ..slicing.profile import as_profile
 from ..tensor import Tensor, count_flops, no_grad
 
@@ -58,50 +59,49 @@ def measured_flops(model: Module, input_shape: tuple[int, ...],
     return counter.total
 
 
-def active_params(model: Module, rate=1.0) -> int:
-    """Parameters resident in memory when the model is deployed at ``rate``.
-
-    Sliced layers report their active prefix (resolved per slice point
-    when ``rate`` is a profile); plain layers report their full size.
-    """
-    profile = as_profile(rate)
-    total = 0
-    for module in model.modules():
-        if hasattr(module, "active_param_count"):
-            layer_rate = profile.rate_for(getattr(module, "slice_point", None))
-            total += module.active_param_count(layer_rate)
-        else:
-            total += sum(p.size for p in module._parameters.values())
-    return total
-
-
 # Activations are float32 throughout the library; token-id inputs are
 # the one integer exception and report their true itemsize.
 _DEFAULT_ITEMSIZE = 4
+
+
+def _resident(model: Module, rate):
+    """``(parameter count, itemsize)`` of every module at ``rate``.
+
+    Sliced layers report their active prefix: their own rate (resolved
+    per slice point when ``rate`` is a profile) sets the widths they
+    produce, and the arriving activation's rate (:func:`arriving_rates`)
+    the widths they consume.  Plain layers report their full size.
+    """
+    profile = as_profile(rate)
+    arriving = arriving_rates(model, profile)
+    for module in model.modules():
+        params = module._parameters.values()
+        if hasattr(module, "active_param_count"):
+            own = profile.rate_for(getattr(module, "slice_point", None))
+            count = module.active_param_count(own, arriving[id(module)])
+        else:
+            count = sum(p.size for p in params)
+        itemsize = max((p.data.itemsize for p in params),
+                       default=_DEFAULT_ITEMSIZE)
+        yield count, itemsize
+
+
+def active_params(model: Module, rate=1.0) -> int:
+    """Parameters resident in memory when the model is deployed at ``rate``."""
+    return sum(count for count, _ in _resident(model, rate))
 
 
 def param_bytes(model: Module, rate=1.0) -> int:
     """Weight bytes resident when the model is deployed at ``rate``.
 
     The byte counterpart of :func:`active_params`: sliced layers count
-    their active prefix only (what a
-    :func:`~repro.slicing.deploy.materialize_subnet` artifact ships),
-    plain layers their full storage.  An elastic replica that serves
-    *every* rate from one model hosts ``param_bytes(model, 1.0)``.
+    their active prefix only, plain layers their full storage.  For the
+    compiled models this is exactly the weight bytes
+    :func:`~repro.slicing.plans.compile_plan` holds at ``rate``.  An
+    elastic replica that serves *every* rate from one model hosts
+    ``param_bytes(model, 1.0)``.
     """
-    profile = as_profile(rate)
-    total = 0
-    for module in model.modules():
-        if hasattr(module, "active_param_count"):
-            layer_rate = profile.rate_for(getattr(module, "slice_point", None))
-            itemsize = max((p.data.itemsize
-                            for p in module._parameters.values()),
-                           default=_DEFAULT_ITEMSIZE)
-            total += module.active_param_count(layer_rate) * itemsize
-        else:
-            total += sum(p.data.nbytes
-                         for p in module._parameters.values())
-    return total
+    return sum(count * itemsize for count, itemsize in _resident(model, rate))
 
 
 def _io_bytes(value) -> int:

@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError, ShapeError
-from ..nn.attention import MultiHeadSelfAttention, softmax_eval
+from ..errors import ConfigError, PlanError, ShapeError
+from ..nn.attention import MultiHeadSelfAttention
 from ..nn.embedding import Embedding, LearnedPositional
 from ..nn.module import Module, ModuleList
-from ..nn.norm import LayerNorm, layer_norm_eval
+from ..nn.norm import LayerNorm
 from ..slicing.layers import SlicedLinear
+from ..slicing.plans import _log_softmax, get_plan
 from ..slicing.profile import (LayerProfile, as_profile,
                                assign_slice_points, named_slice_points)
 from ..tensor import Tensor, log_softmax
@@ -112,6 +113,7 @@ class TransformerEncoder(Module):
         )
         self.pos = LearnedPositional(
             self.num_patches, embed_dim, batch_first=True, rng=rng,
+            num_groups=num_groups,
         )
         self.blocks = ModuleList([
             TransformerBlock(embed_dim, num_heads, ffn_dim, causal=False,
@@ -179,6 +181,7 @@ class TransformerLM(Module):
         )
         self.pos = LearnedPositional(
             max_seq, embed_dim, batch_first=False, rng=rng,
+            num_groups=num_groups,
         )
         self.blocks = ModuleList([
             TransformerBlock(embed_dim, num_heads, ffn_dim, causal=True,
@@ -238,73 +241,49 @@ class TransformerLM(Module):
 
     def new_session(self, profile=1.0,
                     max_seq: int | None = None) -> "DecoderSession":
-        """An incremental decoding session with its own KV cache."""
+        """An incremental decoding session: its own KV cache over the
+        shared compiled plan at ``profile``."""
         return DecoderSession(self, profile, max_seq)
 
 
 class DecoderSession:
     """Per-session incremental decoding state for :class:`TransformerLM`.
 
-    Snapshots the profile's prefix weights once, then decodes one token
-    at a time against a preallocated per-layer key/value cache — each
-    step costs O(T) attention instead of the O(T²) full re-forward.  The
-    cache holds only the active heads, so :attr:`kv_bytes` matches
+    Decodes over the model's cached compiled plan at ``profile``
+    (:func:`~repro.slicing.plans.get_plan`): every session at one profile
+    shares that plan's weight snapshot and owns only its per-layer
+    key/value cache and its length.  Each step costs O(T) attention
+    instead of the O(T²) full re-forward.  The cache holds only the
+    active heads, so :attr:`kv_bytes` matches
     ``TransformerLM.kv_cache_bytes`` for the same profile.
+
+    Once any of the plan's parameters is written (its version moves),
+    :meth:`append` raises :class:`~repro.errors.PlanError`: the cached
+    keys and values were computed with the old weights, so decoding on
+    needs a new session.
     """
 
     def __init__(self, model: TransformerLM, profile=1.0,
                  max_seq: int | None = None):
-        profile = as_profile(profile)
-        self.profile = profile
-        self.max_seq = model.max_seq if max_seq is None else int(max_seq)
+        seq = model.max_seq if max_seq is None else int(max_seq)
+        if not 1 <= seq <= model.max_seq:
+            raise ShapeError(
+                f"session max_seq must be between 1 and the model's "
+                f"max_seq {model.max_seq}, got {seq}"
+            )
+        self.profile = as_profile(profile)
+        self.max_seq = seq
         self.vocab_size = model.vocab_size
-        width = model.embedding.active_width(
-            profile.rate_for(model.embedding.slice_point))
-        self.width = width
-        self.embed = model.embedding.weight.data[:, :width].copy()
-        self.pos = model.pos.weight.data[:self.max_seq, :width].copy()
-        self.layers: list[dict] = []
-        for block in model.blocks:
-            attn = block.attn
-            heads = attn.active_heads(profile.rate_for(attn.slice_point))
-            head_dim = attn.head_dim
-            rows = 3 * heads * head_dim
-            ffn = block.fc1.out_partition.width_for(
-                profile.rate_for(block.fc1.slice_point))
-            fc2_out = block.fc2.out_partition.width_for(
-                profile.rate_for(block.fc2.slice_point))
-            if fc2_out != width:
-                raise ShapeError(
-                    f"profile gives fc2 width {fc2_out} but the residual "
-                    f"stream is {width} wide"
-                )
-            self.layers.append({
-                "eps": block.ln1.eps,
-                "ln1_g": block.ln1.weight.data[:width].copy(),
-                "ln1_b": block.ln1.bias.data[:width].copy(),
-                "qkv_w": attn.qkv_weight.data[:rows, :width].copy(),
-                "qkv_b": attn.qkv_bias.data[:rows].copy(),
-                "proj_w": attn.proj_weight.data[:width,
-                                                :heads * head_dim].copy(),
-                "proj_b": attn.proj_bias.data[:width].copy(),
-                "ln2_g": block.ln2.weight.data[:width].copy(),
-                "ln2_b": block.ln2.bias.data[:width].copy(),
-                "fc1_w": block.fc1.weight.data[:ffn, :width].copy(),
-                "fc1_b": block.fc1.bias.data[:ffn].copy(),
-                "fc2_w": block.fc2.weight.data[:width, :ffn].copy(),
-                "fc2_b": block.fc2.bias.data[:width].copy(),
-                "heads": heads,
-                "head_dim": head_dim,
-                "k": np.zeros((heads, self.max_seq, head_dim),
-                              dtype=np.float32),
-                "v": np.zeros((heads, self.max_seq, head_dim),
-                              dtype=np.float32),
-            })
-        self.ln_f_g = model.ln_f.weight.data[:width].copy()
-        self.ln_f_b = model.ln_f.bias.data[:width].copy()
-        self.ln_f_eps = model.ln_f.eps
-        self.dec_w = model.decoder.weight.data[:, :width].copy()
-        self.dec_b = model.decoder.bias.data.copy()
+        self.plan = get_plan(model, self.profile)
+        steps = self.plan.steps
+        self.layers: list[dict] = [
+            {"attn": attn, "ffn": ffn,
+             "k": np.zeros((attn.heads, seq, attn.head_dim),
+                           dtype=np.float32),
+             "v": np.zeros((attn.heads, seq, attn.head_dim),
+                           dtype=np.float32)}
+            for attn, ffn in zip(steps[2:-2:2], steps[3:-2:2])
+        ]
         self.length = 0
 
     @property
@@ -320,31 +299,20 @@ class DecoderSession:
             raise ShapeError(
                 f"session is full ({self.max_seq} tokens); start a new one"
             )
-        x = self.embed[int(token)] + self.pos[t]
+        plan = self.plan
+        if not plan.weights_current():
+            raise PlanError(
+                "the model's parameters changed after this session was "
+                "built; its key/value cache is stale — start a new session"
+            )
+        embed, pos, ln_f, decoder = (plan.steps[0], plan.steps[1],
+                                     plan.steps[-2], plan.steps[-1])
+        x = embed.weight[int(token)] + pos.weight[t]
         for layer in self.layers:
-            heads, head_dim = layer["heads"], layer["head_dim"]
-            hx = layer_norm_eval(x, layer["ln1_g"], layer["ln1_b"],
-                                 layer["eps"])
-            qkv = (layer["qkv_w"] @ hx + layer["qkv_b"]).reshape(
-                heads, 3, head_dim)
-            layer["k"][:, t] = qkv[:, 1]
-            layer["v"][:, t] = qkv[:, 2]
-            scale = 1.0 / np.sqrt(head_dim)
-            keys = layer["k"][:, :t + 1]
-            values = layer["v"][:, :t + 1]
-            scores = np.einsum("hd,htd->ht", qkv[:, 0], keys) * scale
-            attn = softmax_eval(scores)
-            ctx = np.einsum("ht,htd->hd", attn, values)
-            x = x + (layer["proj_w"] @ ctx.reshape(-1) + layer["proj_b"])
-            hx2 = layer_norm_eval(x, layer["ln2_g"], layer["ln2_b"],
-                                  layer["eps"])
-            hidden = np.maximum(layer["fc1_w"] @ hx2 + layer["fc1_b"], 0.0)
-            x = x + (layer["fc2_w"] @ hidden + layer["fc2_b"])
+            x = layer["attn"].decode(x, layer["k"], layer["v"], t)
+            x = layer["ffn"](x)
         self.length = t + 1
-        final = layer_norm_eval(x, self.ln_f_g, self.ln_f_b, self.ln_f_eps)
-        logits = self.dec_w @ final + self.dec_b
-        shifted = logits - logits.max()
-        return shifted - np.log(np.exp(shifted).sum())
+        return _log_softmax(decoder(ln_f(x)))
 
 
 def transformer_search_points(model) -> list[str]:

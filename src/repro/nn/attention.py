@@ -205,11 +205,18 @@ class MultiHeadSelfAttention(Module):
             rate = resolve_rate(self)
         return self.head_partition.groups_for(rate)
 
-    def active_param_count(self, rate: float) -> int:
-        """Parameters resident in memory when deployed at ``rate``."""
+    def active_param_count(self, rate: float,
+                           in_rate: float | None = None) -> int:
+        """Parameters resident in memory when deployed at ``rate``.
+
+        ``rate`` picks the heads; ``in_rate`` (the rate of the arriving
+        residual stream, ``rate`` if omitted) picks the width the QKV
+        columns and output rows follow.
+        """
+        in_rate = rate if in_rate is None else in_rate
         heads = self.active_heads(rate)
         inner = heads * self.head_dim
-        d = (self.embed_partition.width_for(rate) if self.sliceable
+        d = (self.embed_partition.width_for(in_rate) if self.sliceable
              else self.embed_dim)
         return 3 * inner * d + d * inner + 3 * inner + d
 

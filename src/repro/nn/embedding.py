@@ -60,7 +60,8 @@ class Embedding(Module):
             rate = resolve_rate(self)
         return self.out_partition.width_for(rate)
 
-    def active_param_count(self, rate: float) -> int:
+    def active_param_count(self, rate: float,
+                           in_rate: float | None = None) -> int:
         return self.num_embeddings * self.active_width(rate)
 
     def forward(self, indices: np.ndarray) -> Tensor:
@@ -83,7 +84,7 @@ class LearnedPositional(Module):
     def __init__(self, max_len: int, embedding_dim: int,
                  batch_first: bool = True,
                  rng: np.random.Generator | None = None,
-                 init_bound: float = 0.02):
+                 init_bound: float = 0.02, num_groups: int = 8):
         super().__init__()
         if max_len <= 0 or embedding_dim <= 0:
             raise ConfigError("LearnedPositional sizes must be positive")
@@ -91,14 +92,22 @@ class LearnedPositional(Module):
         self.max_len = max_len
         self.embedding_dim = embedding_dim
         self.batch_first = batch_first
+        # Group count of the residual-width partition this table rides
+        # on; only used to report active parameter counts for a rate.
+        self.num_groups = max(1, min(int(num_groups), embedding_dim))
         self.weight = Parameter(
             uniform(rng, (max_len, embedding_dim), init_bound)
         )
 
-    def active_param_count(self, rate: float) -> int:
-        # Positions are resident in full; only the width follows the rate,
-        # which this module cannot know without a partition — report full.
-        return self.max_len * self.embedding_dim
+    def active_param_count(self, rate: float,
+                           in_rate: float | None = None) -> int:
+        # Every position stays resident; the width follows the arriving
+        # activation (in_rate, when known), like LayerNorm's.
+        in_rate = rate if in_rate is None else in_rate
+        groups = max(1, min(round(in_rate * self.num_groups),
+                            self.num_groups))
+        width = round(self.embedding_dim * groups / self.num_groups)
+        return self.max_len * width
 
     def forward(self, x: Tensor) -> Tensor:
         seq_len = x.shape[1] if self.batch_first else x.shape[0]

@@ -137,8 +137,12 @@ class LayerNorm(Module):
         self.weight = Parameter(ones((num_features,)))
         self.bias = Parameter(zeros((num_features,)))
 
-    def active_param_count(self, rate: float) -> int:
-        groups = max(1, min(round(rate * self.num_groups), self.num_groups))
+    def active_param_count(self, rate: float,
+                           in_rate: float | None = None) -> int:
+        # The norm follows the arriving width: in_rate, when known.
+        in_rate = rate if in_rate is None else in_rate
+        groups = max(1, min(round(in_rate * self.num_groups),
+                            self.num_groups))
         width = round(self.num_features * groups / self.num_groups)
         return 2 * width
 

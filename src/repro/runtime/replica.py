@@ -177,7 +177,7 @@ class Replica:
         return self.plan_cache if self.plan_cache is not None \
             else shared_cache()
 
-    def warm_plans(self, rates, fold_rescale: bool = True) -> int:
+    def warm_plans(self, rates) -> int:
         """Pre-compile inference plans for ``rates``; returns plans ensured.
 
         Rates already covered by a materialized artifact are skipped —
@@ -190,7 +190,7 @@ class Replica:
             profile = as_profile(rate)
             if profile in self.artifacts:
                 continue
-            self._cache().get(self.model, profile, fold_rescale=fold_rescale)
+            self._cache().get(self.model, profile)
             warmed += 1
         return warmed
 

@@ -137,9 +137,8 @@ def _worker_main(boot: WorkerBoot, conn) -> None:
                     obs.count("worker_requests_total", worker=label,
                               op="cascade")
             elif op == "warm":
-                rates, fold = payload
                 arena.refresh(model)
-                reply = ("ok", replica.warm_plans(rates, fold_rescale=fold))
+                reply = ("ok", replica.warm_plans(payload))
             elif op == "set_cascade":
                 from .cascade import CascadeExecutor
                 stages, exact, incremental = payload
@@ -249,10 +248,10 @@ class WorkerReplica(Replica):
                         time.perf_counter() - start, op=op)
         return value
 
-    def warm_plans(self, rates, fold_rescale: bool = True) -> int:
+    def warm_plans(self, rates) -> int:
         self._pool.sync()
         profiles = [as_profile(rate) for rate in rates]
-        return int(self._timed("warm", (profiles, bool(fold_rescale))))
+        return int(self._timed("warm", profiles))
 
     def predict(self, inputs: np.ndarray, rate) -> np.ndarray:
         self._pool.sync()

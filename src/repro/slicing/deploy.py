@@ -29,7 +29,7 @@ from ..nn.norm import GroupNorm
 from ..nn.norm import BatchNorm2d, LayerNorm
 from ..nn.module import Parameter
 from ..nn.recurrent import GRUCell, LSTMCell, RNNCell
-from .profile import as_profile, named_slice_points
+from .profile import as_profile
 from .layers import (
     MultiBatchNorm2d,
     SlicedBatchNorm2d,
@@ -220,16 +220,40 @@ _CONVERTERS = [
 ]
 
 
+def arriving_rates(model: Module, profile) -> dict[int, float]:
+    """The rate of the activation arriving at each module, by ``id``.
+
+    Walks ``model.modules()`` in registration order, which is dataflow
+    order for the sequential bundled models.  Each module receives the
+    rate of the most recent width-controlling layer before it: an
+    output-sliced dense or conv layer, a recurrent cell, or a
+    width-controller embedding.  Attention, norms and positional tables
+    are not controllers: their output width equals their input width.
+    """
+    profile = as_profile(profile)
+    rates: dict[int, float] = {}
+    feeder = profile.rate_for(None)
+    for module in model.modules():
+        rates[id(module)] = feeder
+        point = getattr(module, "slice_point", None)
+        if isinstance(module, (SlicedLinear, SlicedConv2d, Embedding)):
+            if module.slice_output:
+                feeder = profile.rate_for(point)
+        elif isinstance(module, (SlicedRNNCell, SlicedLSTMCell,
+                                 SlicedGRUCell)):
+            feeder = profile.rate_for(point)
+    return rates
+
+
 def materialize_subnet(model: Module, rate) -> Module:
     """Return a standalone plain copy of ``Subnet-rate``.
 
     ``rate`` may be a scalar or a
     :class:`~repro.slicing.profile.SliceProfile`; each sliced layer is
     materialized at the rate the profile resolves for its slice-point
-    name.  Input widths are *threaded*: each input-sliced layer consumes
-    the width produced by the previous width-controlling slice point (in
-    slice-point traversal order, which matches dataflow order for the
-    sequential bundled models), so non-uniform profiles deploy with the
+    name.  Input widths are *threaded* (:func:`arriving_rates`): each
+    input-sliced layer consumes the width produced by the previous
+    width-controlling layer, so non-uniform profiles deploy with the
     exact widths the live forward produces.
 
     The original model is untouched.  Sliced layers become plain layers
@@ -249,24 +273,7 @@ def materialize_subnet(model: Module, rate) -> Module:
     clone = copy.deepcopy(model)
     replaced = 0
 
-    # The rate of the activation *arriving* at each sliced module: the
-    # most recent width-controlling slice point before it in traversal
-    # order (dataflow order for the sequential bundled models).
-    in_rates: dict[int, float] = {}
-    feeder = profile.rate_for(None)
-    for point, module in named_slice_points(clone):
-        in_rates[id(module)] = feeder
-        if isinstance(module, (SlicedLinear, SlicedConv2d)):
-            if module.slice_output:
-                feeder = profile.rate_for(point)
-        elif isinstance(module, (SlicedRNNCell, SlicedLSTMCell,
-                                 SlicedGRUCell)):
-            feeder = profile.rate_for(point)
-        elif isinstance(module, Embedding) and module.slice_output:
-            # Width-controller embedding: everything downstream follows
-            # its width.  (Attention is *not* a feeder — its output width
-            # equals its input width, like norms.)
-            feeder = profile.rate_for(point)
+    in_rates = arriving_rates(clone, profile)
 
     def visit(module: Module) -> None:
         nonlocal replaced
@@ -276,8 +283,8 @@ def materialize_subnet(model: Module, rate) -> Module:
                 if type(child) is kind:
                     layer_rate = profile.rate_for(
                         getattr(child, "slice_point", None))
-                    in_rate = in_rates.get(id(child), layer_rate)
-                    converted = converter(child, layer_rate, in_rate)
+                    converted = converter(child, layer_rate,
+                                          in_rates[id(child)])
                     break
             if converted is not None:
                 module.register_module(name, converted)

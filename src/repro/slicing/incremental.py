@@ -115,35 +115,13 @@ def widen(layer: SlicedLinear, x_wide: np.ndarray, rate_wide: float,
 
 
 def full_cost(layer: SlicedLinear, batch: int, rate: float) -> int:
-    """Multiply-adds of a from-scratch pass of ``layer`` at ``rate``."""
+    """Multiply-adds of a from-scratch pass of ``layer`` at ``rate``.
+
+    Both widths come from the layer's own partitions: the input width a
+    chain of layers sliced at one uniform rate hands this layer.
+    """
     out_w = (layer.out_partition.width_for(rate)
              if layer.slice_output else layer.out_features)
-    in_w = layer.in_features
-    if layer.slice_input:
-        in_w = GroupPartitionCache.for_layer(layer).width_for(rate)
+    in_w = (layer.in_partition.width_for(rate)
+            if layer.slice_input else layer.in_features)
     return batch * out_w * in_w
-
-
-class GroupPartitionCache:
-    """Partition helper mirroring a layer's *input* slicing.
-
-    ``SlicedLinear`` slices its input by whatever width the upstream layer
-    produced; for cost accounting we assume the upstream layer uses the
-    same group count over ``in_features``.
-    """
-
-    _cache: dict[tuple[int, int], object] = {}
-
-    @classmethod
-    def for_layer(cls, layer: SlicedLinear):
-        from .partition import GroupPartition
-
-        key = (layer.in_features, DEFAULT_IN_GROUPS)
-        if key not in cls._cache:
-            cls._cache[key] = GroupPartition(
-                layer.in_features, min(DEFAULT_IN_GROUPS, layer.in_features)
-            )
-        return cls._cache[key]
-
-
-DEFAULT_IN_GROUPS = 8

@@ -74,11 +74,17 @@ class SlicedLinear(Module):
         # is a single neuron; attention overrides this with head_dim.
         self.slice_group_size = 1
 
-    def active_param_count(self, rate: float) -> int:
-        """Parameters resident in memory when deployed at ``rate``."""
+    def active_param_count(self, rate: float,
+                           in_rate: float | None = None) -> int:
+        """Parameters resident in memory when deployed at ``rate``.
+
+        ``in_rate`` is the rate of the arriving activation (``rate`` if
+        omitted).
+        """
+        in_rate = rate if in_rate is None else in_rate
         out_w = self.out_partition.width_for(rate) if self.slice_output \
             else self.out_features
-        in_w = self.in_partition.width_for(rate) if self.slice_input \
+        in_w = self.in_partition.width_for(in_rate) if self.slice_input \
             else self.in_features
         return out_w * in_w + (out_w if self.bias is not None else 0)
 
@@ -144,10 +150,16 @@ class SlicedConv2d(Module):
         self.slice_point = auto_slice_point(self)
         self.slice_group_size = 1
 
-    def active_param_count(self, rate: float) -> int:
-        """Parameters resident in memory when deployed at ``rate``."""
+    def active_param_count(self, rate: float,
+                           in_rate: float | None = None) -> int:
+        """Parameters resident in memory when deployed at ``rate``.
+
+        ``in_rate`` is the rate of the arriving activation (``rate`` if
+        omitted).
+        """
+        in_rate = rate if in_rate is None else in_rate
         out_w = self.active_out_channels(rate)
-        in_w = self.in_partition.width_for(rate) if self.slice_input \
+        in_w = self.in_partition.width_for(in_rate) if self.slice_input \
             else self.in_channels
         kh, kw = self.kernel_size
         return out_w * in_w * kh * kw + (out_w if self.bias is not None else 0)
@@ -241,9 +253,16 @@ class SlicedGroupNorm(Module):
         gamma = np.abs(self.weight.data)
         return gamma.reshape(self.num_groups, self.group_size).mean(axis=1)
 
-    def active_param_count(self, rate: float) -> int:
-        """Parameters resident in memory when deployed at ``rate``."""
-        groups = max(1, min(round(rate * self.num_groups), self.num_groups))
+    def active_param_count(self, rate: float,
+                           in_rate: float | None = None) -> int:
+        """Parameters resident in memory when deployed at ``rate``.
+
+        The norm follows the arriving width, so ``in_rate`` (the rate of
+        the arriving activation, ``rate`` if omitted) sets the groups.
+        """
+        in_rate = rate if in_rate is None else in_rate
+        groups = max(1, min(round(in_rate * self.num_groups),
+                            self.num_groups))
         return 2 * groups * self.group_size
 
 

@@ -43,6 +43,7 @@ one plan must not be invoked concurrently from multiple threads.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import Callable
 
@@ -51,9 +52,10 @@ from numpy.lib.stride_tricks import as_strided
 
 from .. import obs
 from ..errors import PlanError
+from ..nn.attention import attention_eval, causal_mask, softmax_eval
 from ..nn.dropout import Dropout
-from ..nn.embedding import Embedding
-from ..nn.norm import BatchNorm2d
+from ..nn.embedding import Embedding, LearnedPositional
+from ..nn.norm import BatchNorm2d, LayerNorm, layer_norm_eval
 from ..nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from ..tensor import Tensor, no_grad
 from .context import slice_profile
@@ -429,8 +431,6 @@ class LayerNormStep(PlanStep):
     kind = "layernorm"
 
     def __init__(self, gamma: np.ndarray, beta: np.ndarray, eps: float):
-        from ..nn.norm import layer_norm_eval
-
         self.weight = _f32(gamma)
         self.bias = _f32(beta)
         self.eps = float(eps)
@@ -476,6 +476,8 @@ class AttentionBlockStep(PlanStep):
     :func:`repro.nn.attention.causal_mask` cache, shared with the live
     layer and resumable plans.  ``qkv_weight``/``proj_weight`` hold the
     raw prefixes, so nesting tests can compare them across profiles.
+    :meth:`decode` is the single-token mode decoder sessions run against
+    their own KV caches.
     """
 
     kind = "attention"
@@ -484,9 +486,6 @@ class AttentionBlockStep(PlanStep):
                  qkv_weight: np.ndarray, qkv_bias: np.ndarray,
                  proj_weight: np.ndarray, proj_bias: np.ndarray,
                  head_dim: int, causal: bool, batch_first: bool):
-        from ..nn.attention import attention_eval, causal_mask
-        from ..nn.norm import layer_norm_eval
-
         self.ln_gamma = _f32(ln_gamma)
         self.ln_beta = _f32(ln_beta)
         self.eps = float(eps)
@@ -517,6 +516,28 @@ class AttentionBlockStep(PlanStep):
             batch_first=self.batch_first,
         )
 
+    def decode(self, x: np.ndarray, keys: np.ndarray, values: np.ndarray,
+               t: int) -> np.ndarray:
+        """One causal decode step for a single ``(width,)`` token at ``t``.
+
+        Writes the token's key and value rows into the ``(heads, max_seq,
+        head_dim)`` caches ``keys``/``values`` and attends over positions
+        ``0..t``: O(t) work instead of re-running the whole prefix.
+        """
+        hx = self._ln(x, self.ln_gamma, self.ln_beta, self.eps)
+        qkv = (self.qkv_weight @ hx + self.qkv_bias).reshape(
+            self.heads, 3, self.head_dim)
+        keys[:, t] = qkv[:, 1]
+        values[:, t] = qkv[:, 2]
+        # A Python-float scale, as attention_eval uses: a numpy float64
+        # scalar would promote the scores, and every later step, to
+        # float64.
+        scale = 1.0 / math.sqrt(self.head_dim)
+        scores = np.einsum("hd,htd->ht", qkv[:, 0], keys[:, :t + 1]) * scale
+        ctx = np.einsum("ht,htd->hd", softmax_eval(scores),
+                        values[:, :t + 1])
+        return x + (self.proj_weight @ ctx.reshape(-1) + self.proj_bias)
+
 
 class FFNBlockStep(PlanStep):
     """Pre-norm FFN half-block: ``x + fc2(relu(fc1(ln(x))))``."""
@@ -526,8 +547,6 @@ class FFNBlockStep(PlanStep):
     def __init__(self, ln_gamma: np.ndarray, ln_beta: np.ndarray, eps: float,
                  fc1_weight: np.ndarray, fc1_bias: np.ndarray,
                  fc2_weight: np.ndarray, fc2_bias: np.ndarray):
-        from ..nn.norm import layer_norm_eval
-
         self.ln_gamma = _f32(ln_gamma)
         self.ln_beta = _f32(ln_beta)
         self.eps = float(eps)
@@ -831,6 +850,13 @@ def compile_layer(layer, rate, fold_rescale: bool = True,
         return _compile_cell(layer, rate, in_width)
     if isinstance(layer, Embedding):
         return EmbeddingStep(layer.weight.data)
+    if isinstance(layer, LayerNorm):
+        width = in_width if in_width is not None else layer.num_features
+        return LayerNormStep(layer.weight.data[:width],
+                             layer.bias.data[:width], layer.eps)
+    if isinstance(layer, LearnedPositional):
+        width = in_width if in_width is not None else layer.embedding_dim
+        return PositionalStep(layer.weight.data[:, :width], layer.batch_first)
     if isinstance(layer, Dropout):
         return IdentityStep()
     if isinstance(layer, MaxPool2d):
@@ -858,41 +884,35 @@ def _compile_cell(cell, rate: float, in_width: int | None = None) -> PlanStep:
 # ----------------------------------------------------------------------
 # Model compilation
 # ----------------------------------------------------------------------
-def _compile_mlp(model, profile: SliceProfile,
-                 fold_rescale: bool) -> list[PlanStep]:
+def _compile_mlp(model, profile: SliceProfile) -> list[PlanStep]:
     steps: list[PlanStep] = []
     width = model.in_features
     for layer in model.layers:
         rate = profile.rate_for(layer.slice_point)
-        steps.append(compile_layer(layer, rate, fold_rescale,
-                                   in_width=width, relu=True))
+        steps.append(compile_layer(layer, rate, in_width=width, relu=True))
         width = layer.out_partition.width_for(rate) if layer.slice_output \
             else layer.out_features
-    steps.append(compile_layer(model.head, profile, fold_rescale,
-                               in_width=width))
+    steps.append(compile_layer(model.head, profile, in_width=width))
     return steps
 
 
-def _compile_vgg(model, profile: SliceProfile,
-                 fold_rescale: bool) -> list[PlanStep]:
+def _compile_vgg(model, profile: SliceProfile) -> list[PlanStep]:
     steps: list[PlanStep] = []
     width = model._ops[0][1].in_channels
     rate = profile.rate_for(None)
     for kind, op in model._ops:
         if kind == "conv":
             rate = profile.rate_for(op.slice_point)
-            steps.append(compile_layer(op, rate, fold_rescale, in_width=width))
+            steps.append(compile_layer(op, rate, in_width=width))
             width = op.active_out_channels(rate)
         elif kind == "norm":
             # Norms normalize whatever width arrives, so they compile at
             # the feeding conv's rate — naming them is unnecessary.
-            steps.append(compile_layer(op, rate, fold_rescale,
-                                       in_width=width, relu=True))
+            steps.append(compile_layer(op, rate, in_width=width, relu=True))
         else:
-            steps.append(compile_layer(op, profile, fold_rescale))
+            steps.append(compile_layer(op, profile))
     steps.append(GlobalAvgPoolStep())
-    steps.append(compile_layer(model.head, profile, fold_rescale,
-                               in_width=width))
+    steps.append(compile_layer(model.head, profile, in_width=width))
     return steps
 
 
@@ -912,13 +932,13 @@ class _NNLMRunner:
         return _log_softmax(logits).reshape(steps, batch, -1)
 
 
-def _compile_nnlm(model, profile: SliceProfile, fold_rescale: bool):
+def _compile_nnlm(model, profile: SliceProfile):
     last = model.lstm.cells[-1]
     hidden_w = last.partition.width_for(profile.rate_for(last.slice_point))
     runner = _NNLMRunner(
-        compile_layer(model.embedding, profile, fold_rescale),
-        compile_layer(model.lstm, profile, fold_rescale),
-        compile_layer(model.decoder, profile, fold_rescale, in_width=hidden_w),
+        compile_layer(model.embedding, profile),
+        compile_layer(model.lstm, profile),
+        compile_layer(model.decoder, profile, in_width=hidden_w),
     )
     return runner.steps, runner
 
@@ -982,19 +1002,17 @@ class _TransformerLMRunner:
         return _log_softmax(logits).reshape(seq, batch, -1)
 
 
-def _compile_transformer_encoder(model, profile: SliceProfile,
-                                 fold_rescale: bool):
+def _compile_transformer_encoder(model, profile: SliceProfile):
     width = model.patch_embed.out_partition.width_for(
         profile.rate_for(model.patch_embed.slice_point))
     steps: list[PlanStep] = [
         DenseStep(model.patch_embed.weight.data[:width, :],
                   model.patch_embed.bias.data[:width]),
-        PositionalStep(model.pos.weight.data[:, :width], batch_first=True),
+        compile_layer(model.pos, profile, in_width=width),
     ]
     for block in model.blocks:
         steps.extend(_block_steps(block, profile, width))
-    steps.append(LayerNormStep(model.ln_f.weight.data[:width],
-                               model.ln_f.bias.data[:width], model.ln_f.eps))
+    steps.append(compile_layer(model.ln_f, profile, in_width=width))
     steps.append(MeanPoolStep(axis=1))
     steps.append(DenseStep(model.head.weight.data[:, :width],
                            model.head.bias.data))
@@ -1003,18 +1021,16 @@ def _compile_transformer_encoder(model, profile: SliceProfile,
     return steps, runner
 
 
-def _compile_transformer_lm(model, profile: SliceProfile,
-                            fold_rescale: bool):
+def _compile_transformer_lm(model, profile: SliceProfile):
     width = model.embedding.active_width(
         profile.rate_for(model.embedding.slice_point))
     steps: list[PlanStep] = [
         EmbeddingStep(model.embedding.weight.data[:, :width]),
-        PositionalStep(model.pos.weight.data[:, :width], batch_first=False),
+        compile_layer(model.pos, profile, in_width=width),
     ]
     for block in model.blocks:
         steps.extend(_block_steps(block, profile, width))
-    steps.append(LayerNormStep(model.ln_f.weight.data[:width],
-                               model.ln_f.bias.data[:width], model.ln_f.eps))
+    steps.append(compile_layer(model.ln_f, profile, in_width=width))
     steps.append(DenseStep(model.decoder.weight.data[:, :width],
                            model.decoder.bias.data))
     runner = _TransformerLMRunner(steps)
@@ -1056,13 +1072,11 @@ class InferencePlan:
     fallback = False
 
     def __init__(self, model, rate, steps: list[PlanStep],
-                 run_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-                 fold_rescale: bool = True):
+                 run_fn: Callable[[np.ndarray], np.ndarray] | None = None):
         self.model = model
         self.profile = as_profile(rate)
         self.rate = float(self.profile) if self.profile.uniform else None
         self.steps = list(steps)
-        self.fold_rescale = bool(fold_rescale)
         self._run = run_fn
         self._sources = [(p, p.version) for p in model.parameters()]
         self._extra = [
@@ -1084,6 +1098,18 @@ class InferencePlan:
             if module.extra_state().get(key) is not value:
                 return False
         return True
+
+    def weights_current(self) -> bool:
+        """True while no recorded parameter's version has moved.
+
+        The cheap half of :meth:`is_valid`: it compares the recorded
+        ``(parameter, version)`` pairs without walking the module tree,
+        so per-token callers (decoder sessions) can afford it.  It reads
+        ``_version``, the counter behind :attr:`Parameter.version`: the
+        property call would cost more than the comparison itself.
+        """
+        return all([param._version == version
+                    for param, version in self._sources])
 
     # -- execution -------------------------------------------------------
     def run(self, inputs: np.ndarray) -> np.ndarray:
@@ -1137,14 +1163,10 @@ class FallbackPlan(InferencePlan):
         return out.data if isinstance(out, Tensor) else np.asarray(out)
 
 
-def compile_plan(model, rate, fold_rescale: bool = True
-                 ) -> InferencePlan:
+def compile_plan(model, rate) -> InferencePlan:
     """Compile ``model`` at ``rate`` (a :class:`FallbackPlan` if unknown).
 
     ``rate`` may be a scalar rate or a :class:`SliceProfile`.
-    ``fold_rescale=False`` keeps the ``full_in / active_in`` rescale as a
-    separate post-bias multiply instead of baking it into the weights —
-    bit-compatible with the incremental (anytime) forward.
     """
     profile = as_profile(rate)
     compiler = _find_compiler(model)
@@ -1152,13 +1174,12 @@ def compile_plan(model, rate, fold_rescale: bool = True
         if obs.enabled():
             obs.count("plan_fallbacks_total", kind=type(model).__name__)
         return FallbackPlan(model, profile)
-    result = compiler(model, profile, fold_rescale)
+    result = compiler(model, profile)
     if isinstance(result, tuple):
         steps, run_fn = result
     else:
         steps, run_fn = result, None
-    return InferencePlan(model, profile, steps, run_fn=run_fn,
-                         fold_rescale=fold_rescale)
+    return InferencePlan(model, profile, steps, run_fn=run_fn)
 
 
 # ----------------------------------------------------------------------
@@ -1188,15 +1209,14 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, model, rate, fold_rescale: bool = True
-            ) -> InferencePlan:
+    def get(self, model, rate) -> InferencePlan:
         """The cached plan for ``(model, rate)``, compiling on miss.
 
         ``rate`` may be a scalar or a :class:`SliceProfile`; the cache
         key is the canonical profile fingerprint.
         """
         profile = as_profile(rate)
-        key = (id(model), profile.fingerprint(), bool(fold_rescale))
+        key = (id(model), profile.fingerprint())
         plan = self._entries.get(key)
         if plan is not None and plan.model is model and plan.is_valid():
             self._entries.move_to_end(key)
@@ -1212,7 +1232,7 @@ class PlanCache:
         self.misses += 1
         if obs.enabled():
             obs.count("plan_cache_misses_total")
-        plan = compile_plan(model, profile, fold_rescale)
+        plan = compile_plan(model, profile)
         if obs.enabled():
             obs.count("plan_compiles_total", kind=type(model).__name__)
         self._entries[key] = plan

@@ -43,10 +43,16 @@ class _SlicedRecurrentBase(Module):
         ) if slice_input else None
         self.slice_point = auto_slice_point(self)
 
-    def active_param_count(self, rate: float) -> int:
-        """Parameters resident in memory when deployed at ``rate``."""
+    def active_param_count(self, rate: float,
+                           in_rate: float | None = None) -> int:
+        """Parameters resident in memory when deployed at ``rate``.
+
+        ``in_rate`` is the rate of the arriving activation (``rate`` if
+        omitted).
+        """
+        in_rate = rate if in_rate is None else in_rate
         hidden = self.partition.width_for(rate)
-        in_w = self.in_partition.width_for(rate) if self.slice_input \
+        in_w = self.in_partition.width_for(in_rate) if self.slice_input \
             else self.input_size
         per_gate = hidden * in_w + hidden * hidden + hidden
         return self._num_gates * per_gate

@@ -40,11 +40,12 @@ Two widening modes exist because the paper's reuse is an approximation:
 Execution mirrors the live sliced forward's operation order (matmul,
 then bias, then the *unfolded* ``full_in/active_in`` rescale, then the
 activation), which keeps the from-scratch resumable pass numerically
-aligned with ``compile_plan(model, profile, fold_rescale=False)`` for
-dense chains (equal to float tolerance; the canonical GEMM's
-accumulation order differs from BLAS, so not bitwise).  Recurrent
-cells keep the rescale unfolded for the same reason, so their cached
-per-gate input projections stay reusable across hidden widths.
+aligned with ``compile_plan(model, profile)`` for dense chains (equal
+to float tolerance; the canonical GEMM's accumulation order differs
+from BLAS, and the plan folds any rescale into its weights, so not
+bitwise).  Recurrent cells keep the rescale unfolded for the same
+reason, so their cached per-gate input projections stay reusable
+across hidden widths.
 
 Plans validate against parameter mutation exactly like
 :class:`~repro.slicing.plans.InferencePlan`: any ``Parameter`` version
@@ -69,16 +70,17 @@ from ..nn.attention import causal_mask, softmax_eval
 from ..nn.dropout import Dropout
 from ..nn.embedding import Embedding
 from ..nn.norm import layer_norm_eval
+from ..nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from .layers import SlicedConv2d, SlicedGroupNorm, SlicedLinear
 from .plans import (
-    AvgPoolStep,
     ConvStep,
     GlobalAvgPoolStep,
-    GroupNormStep,
-    MaxPoolStep,
-    _log_softmax,
+    LogSoftmaxStep,
+    MeanPoolStep,
+    PlanStep,
     _recurrent_scale,
     _sigmoid,
+    compile_layer,
 )
 from .profile import SliceProfile, as_profile, named_slice_points
 from .recurrent import SlicedLSTM
@@ -527,80 +529,45 @@ class _ConvNode(_Node):
         return y, True, spent, full
 
 
-class _GroupNormNode(_Node):
-    """Per-group normalization; groups are independent, cost is tiny.
+class _StepNode(_Node):
+    """A plan step with no product worth extending: norms, pools, the
+    positional add, the mean pool and log-softmax.
 
-    Recomputed whenever anything upstream moved (a norm is far cheaper
-    than the convolutions around it); reused verbatim when the input is
-    untouched.
+    ``source`` is either a ready :class:`~repro.slicing.plans.PlanStep`
+    or a layer that :func:`~repro.slicing.plans.compile_layer` builds at
+    the width arriving on ``axis``.  One reuse rule: an untouched input
+    returns the cached output, anything else reruns the step (these
+    steps cost nothing next to the GEMMs around them).  A rerun reports
+    its output as changed, except for an ``elementwise`` step (the
+    positional add): growing its width leaves the cached prefix columns
+    bit-identical, so upstream cleanliness carries through it.
     """
 
     _cached = ("x", "y")
 
-    def __init__(self, layer: SlicedGroupNorm, relu: bool = False):
-        self.layer = layer
+    def __init__(self, name: str, source, axis: int = -1,
+                 relu: bool = False, elementwise: bool = False):
+        self.name = name
+        self.source = source
+        self.axis = axis
         self.relu = bool(relu)
-        self.name = "norm"
+        self.elementwise = bool(elementwise)
         self.x = self.y = None
 
-    def _step(self, channels: int) -> GroupNormStep:
-        layer = self.layer
-        return GroupNormStep(layer.weight.data[:channels],
-                             layer.bias.data[:channels],
-                             layer.group_size, layer.eps, relu=self.relu)
-
     def run(self, x, profile):
-        y = np.asarray(self._step(x.shape[1])(x))
+        step = self.source
+        if not isinstance(step, PlanStep):
+            step = compile_layer(step, 1.0, in_width=x.shape[self.axis],
+                                 relu=self.relu)
+        y = np.asarray(step(x))
         self.x, self.y = x, y
         return y, True, 0, 0
 
     def widen(self, x, profile, changed_in, exact):
-        if not changed_in and self.x is not None \
-                and x.shape == self.x.shape:
+        if not changed_in and self.x is not None and x.shape == self.x.shape:
             return self.y, False, 0, 0
         y, _, _, _ = self.run(x, profile)
-        return y, True, 0, 0
-
-
-class _PoolNode(_Node):
-    """Max/avg/global pooling; stateless apart from the cached output."""
-
-    _cached = ("x", "y")
-
-    def __init__(self, step, name: str):
-        self.step = step
-        self.name = name
-        self.x = self.y = None
-
-    def run(self, x, profile):
-        y = np.asarray(self.step(x))
-        self.x, self.y = x, y
-        return y, True, 0, 0
-
-    def widen(self, x, profile, changed_in, exact):
-        if not changed_in and self.x is not None \
-                and x.shape == self.x.shape:
-            return self.y, False, 0, 0
-        return self.run(x, profile)
-
-
-class _LogSoftmaxNode(_Node):
-    _cached = ("x", "y")
-    name = "log_softmax"
-
-    def __init__(self):
-        self.x = self.y = None
-
-    def run(self, x, profile):
-        y = _log_softmax(x)
-        self.x, self.y = x, y
-        return y, True, 0, 0
-
-    def widen(self, x, profile, changed_in, exact):
-        if not changed_in and self.x is not None \
-                and x.shape == self.x.shape:
-            return self.y, False, 0, 0
-        return self.run(x, profile)
+        return y, changed_in if self.elementwise else True, 0, 0
 
 
 class _SlicedEmbeddingNode(_Node):
@@ -649,87 +616,6 @@ class _SlicedEmbeddingNode(_Node):
     def take_rows(self, rows) -> None:
         self.tokens = self.tokens[:, rows]
         self.y = self.y[:, rows]
-
-
-class _PosNode(_Node):
-    """Learned positional add; elementwise, so prefix-preserving."""
-
-    _cached = ("x", "y")
-    name = "pos"
-
-    def __init__(self, layer):
-        self.layer = layer
-        self.x = self.y = None
-
-    def run(self, x, profile):
-        d = x.shape[-1]
-        t = x.shape[1] if self.layer.batch_first else x.shape[0]
-        table = _f32(self.layer.weight.data[:t, :d])
-        if not self.layer.batch_first:
-            table = table.reshape(t, 1, d)
-        y = x + table
-        self.x, self.y = x, y
-        return y, True, 0, 0
-
-    def widen(self, x, profile, changed_in, exact):
-        if not changed_in and self.x is not None and x.shape == self.x.shape:
-            return self.y, False, 0, 0
-        y, _, _, _ = self.run(x, profile)
-        # The add is elementwise: growing the width leaves the cached
-        # prefix columns bit-identical, so upstream cleanliness carries.
-        return y, changed_in, 0, 0
-
-
-class _LayerNormNode(_Node):
-    """LayerNorm over the arriving width; stats couple every feature,
-    so any width growth invalidates the cached output (cost ~0 anyway).
-    """
-
-    _cached = ("x", "y")
-    name = "norm"
-
-    def __init__(self, layer):
-        self.layer = layer
-        self.x = self.y = None
-
-    def run(self, x, profile):
-        d = x.shape[-1]
-        y = layer_norm_eval(x, _f32(self.layer.weight.data[:d]),
-                            _f32(self.layer.bias.data[:d]), self.layer.eps)
-        self.x, self.y = x, y
-        return y, True, 0, 0
-
-    def widen(self, x, profile, changed_in, exact):
-        if not changed_in and self.x is not None and x.shape == self.x.shape:
-            return self.y, False, 0, 0
-        y, _, _, _ = self.run(x, profile)
-        return y, True, 0, 0
-
-
-class _MeanPoolNode(_Node):
-    """Sequence mean pool (encoder readout); recomputed when upstream
-    moved — summation order may shift with the feature width, so width
-    growth conservatively marks the output changed.
-    """
-
-    _cached = ("x", "y")
-    name = "mean_pool"
-
-    def __init__(self, axis: int = 1):
-        self.axis = axis
-        self.x = self.y = None
-
-    def run(self, x, profile):
-        count = x.shape[self.axis]
-        y = x.sum(axis=self.axis) * (1.0 / count)
-        self.x, self.y = x, y
-        return y, True, 0, 0
-
-    def widen(self, x, profile, changed_in, exact):
-        if not changed_in and self.x is not None and x.shape == self.x.shape:
-            return self.y, False, 0, 0
-        y, _, _, _ = self.run(x, profile)
-        return y, True, 0, 0
 
 
 class _AttentionBlockNode(_Node):
@@ -984,14 +870,12 @@ def _build_nnlm(model) -> tuple[list[_Node], str]:
         _EmbeddingNode(model.embedding),
         _LSTMNode(model.lstm),
         _LinearNode(model.decoder, relu=False),
-        _LogSoftmaxNode(),
+        _StepNode("log_softmax", LogSoftmaxStep()),
     ]
     return nodes, "nnlm"
 
 
 def _build_vgg(model) -> tuple[list[_Node], str]:
-    from ..nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
-
     nodes: list[_Node] = []
     for kind, op in model._ops:
         if kind == "conv":
@@ -1000,19 +884,15 @@ def _build_vgg(model) -> tuple[list[_Node], str]:
             if not isinstance(op, SlicedGroupNorm):
                 raise PlanError(
                     f"no resumable compiler for norm {type(op).__name__}")
-            nodes.append(_GroupNormNode(op, relu=True))
-        elif isinstance(op, MaxPool2d):
-            nodes.append(_PoolNode(MaxPoolStep(op.kernel_size), "pool"))
-        elif isinstance(op, AvgPool2d):
-            nodes.append(_PoolNode(AvgPoolStep(op.kernel_size), "pool"))
-        elif isinstance(op, GlobalAvgPool2d):
-            nodes.append(_PoolNode(GlobalAvgPoolStep(), "pool"))
+            nodes.append(_StepNode("norm", op, axis=1, relu=True))
+        elif isinstance(op, (MaxPool2d, AvgPool2d, GlobalAvgPool2d)):
+            nodes.append(_StepNode("pool", compile_layer(op, 1.0)))
         elif isinstance(op, Dropout):
             continue
         else:
             raise PlanError(
                 f"no resumable compiler for op {type(op).__name__}")
-    nodes.append(_PoolNode(GlobalAvgPoolStep(), "global_pool"))
+    nodes.append(_StepNode("global_pool", GlobalAvgPoolStep()))
     nodes.append(_LinearNode(model.head, relu=False))
     return nodes, "chain"
 
@@ -1028,12 +908,12 @@ def _build_transformer_blocks(model) -> list[_Node]:
 def _build_transformer_encoder(model) -> tuple[list[_Node], str]:
     nodes: list[_Node] = [
         _LinearNode(model.patch_embed, relu=False),
-        _PosNode(model.pos),
+        _StepNode("pos", model.pos, elementwise=True),
         *_build_transformer_blocks(model),
-        _LayerNormNode(model.ln_f),
-        _MeanPoolNode(axis=1),
+        _StepNode("norm", model.ln_f),
+        _StepNode("mean_pool", MeanPoolStep(axis=1)),
         _LinearNode(model.head, relu=False),
-        _LogSoftmaxNode(),
+        _StepNode("log_softmax", LogSoftmaxStep()),
     ]
     return nodes, "tenc"
 
@@ -1041,11 +921,11 @@ def _build_transformer_encoder(model) -> tuple[list[_Node], str]:
 def _build_transformer_lm(model) -> tuple[list[_Node], str]:
     nodes: list[_Node] = [
         _SlicedEmbeddingNode(model.embedding),
-        _PosNode(model.pos),
+        _StepNode("pos", model.pos, elementwise=True),
         *_build_transformer_blocks(model),
-        _LayerNormNode(model.ln_f),
+        _StepNode("norm", model.ln_f),
         _LinearNode(model.decoder, relu=False),
-        _LogSoftmaxNode(),
+        _StepNode("log_softmax", LogSoftmaxStep()),
     ]
     return nodes, "tlm"
 
@@ -1209,7 +1089,7 @@ class ResumablePlan:
         for mine, theirs in zip(self.nodes, clone.nodes):
             theirs.__dict__.update({
                 k: v for k, v in mine.__dict__.items()
-                if k not in ("layer", "lstm", "step")})
+                if k not in ("layer", "lstm")})
             theirs.take_rows(rows)
         clone._inputs = self._inputs[rows]
         clone._output = None if self._output is None \

@@ -134,10 +134,10 @@ class TestExactWidenBitwise:
         chained = plan.widen(p2)
         scratch = ResumablePlan(mlp, p2, exact=True).run(x)
         assert np.array_equal(chained, scratch)
-        # ... and numerically against the non-folding compiled plan
-        # (the canonical GEMM's accumulation order differs from BLAS,
-        # so this comparison is to float tolerance, not bitwise).
-        compiled = compile_plan(mlp, p2, fold_rescale=False).run(x)
+        # ... and numerically against the compiled plan (the canonical
+        # GEMM's accumulation order differs from BLAS, so this
+        # comparison is to float tolerance, not bitwise).
+        compiled = compile_plan(mlp, p2).run(x)
         np.testing.assert_allclose(chained, np.asarray(compiled),
                                    rtol=1e-5, atol=1e-6)
 

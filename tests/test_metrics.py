@@ -136,6 +136,34 @@ class TestMemoryAccounting:
             assert param_bytes(model, rate) == \
                 4 * active_params(model, rate)
 
+    @pytest.mark.parametrize("kind", ["mlp", "vgg", "tenc", "tlm"])
+    def test_param_bytes_equal_compiled_plan_bytes(self, kind):
+        # The cost model's weight bytes must be the bytes a replica
+        # serving the profile actually holds: its compiled plan's.
+        from repro.metrics.flops import param_bytes
+        from repro.models import (MLP, SlicedVGG, TransformerEncoder,
+                                  TransformerLM)
+        from repro.models.transformer import head_ffn_profile
+        from repro.slicing import compile_plan
+        model = {
+            "mlp": lambda: MLP(16, [32, 24], 4, seed=0),
+            "vgg": lambda: SlicedVGG.cifar_mini(num_classes=5, width=8),
+            "tenc": lambda: TransformerEncoder(
+                image_size=8, patch_size=4, embed_dim=32, num_heads=4,
+                ffn_dim=64, seed=0),
+            "tlm": lambda: TransformerLM(31, embed_dim=32, num_heads=4,
+                                         ffn_dim=64, max_seq=12, seed=0),
+        }[kind]()
+        profiles = [0.25, 0.5, 0.75, 1.0]
+        if kind in ("tenc", "tlm"):
+            profiles += [head_ffn_profile(model, h, f)
+                         for h, f in [(0.5, 1.0), (1.0, 0.25),
+                                      (0.25, 0.75)]]
+            profiles.append(head_ffn_profile(model, 0.5, 0.5, default=0.5))
+        for profile in profiles:
+            assert param_bytes(model, profile) == \
+                compile_plan(model, profile).param_bytes(), profile
+
     def test_peak_activations_shrink_with_rate(self):
         from repro.metrics.flops import peak_activation_bytes
         model = self._model()

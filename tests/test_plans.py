@@ -664,8 +664,7 @@ class TestResumablePlanParity:
         x = rng.normal(size=(5, 12)).astype(np.float32)
         for rate in RATES_G4:
             resumable = ResumablePlan(model, rate).run(x)
-            compiled = compile_plan(model, rate,
-                                    fold_rescale=False).run(x)
+            compiled = compile_plan(model, rate).run(x)
             np.testing.assert_allclose(resumable, np.asarray(compiled),
                                        rtol=1e-5, atol=1e-6)
 

@@ -19,7 +19,9 @@ The contract under test:
 * :class:`DecoderSession` incremental decoding agrees with the full
   forward and its KV cache bytes match ``kv_cache_bytes``, which the
   serving cost model (``memory_of_profile`` -> ``CostTable`` ->
-  ``NodeSpec.max_sessions``) budgets per resident session.
+  ``NodeSpec.max_sessions``) budgets per resident session.  Sessions at
+  one profile share the compiled plan, hold no arrays beyond that cache,
+  and refuse to decode on after a weight write.
 """
 
 import numpy as np
@@ -293,6 +295,38 @@ class TestDecoderSession:
         session.append(2)
         with pytest.raises(ShapeError):
             session.append(3)
+
+    def test_session_max_seq_checked_at_construction(self, lm):
+        for bad in (0, -1, lm.max_seq + 1):
+            with pytest.raises(ShapeError):
+                lm.new_session(1.0, max_seq=bad)
+        assert lm.new_session(1.0, max_seq=lm.max_seq).max_seq == lm.max_seq
+
+    def test_sessions_share_the_plan_and_own_only_kv(self, lm):
+        profile = head_ffn_profile(lm, 0.5, 0.25)
+        first, second = lm.new_session(profile), lm.new_session(profile)
+        assert first.plan is second.plan
+        own = [value for value in vars(first).values()
+               if isinstance(value, np.ndarray)]
+        own += [value for layer in first.layers for value in layer.values()
+                if isinstance(value, np.ndarray)]
+        assert sum(a.nbytes for a in own) == lm.kv_cache_bytes(profile)
+        assert first.kv_bytes == lm.kv_cache_bytes(profile)
+
+    def test_weight_write_stales_open_sessions(self):
+        model = TransformerLM(vocab_size=61, embed_dim=32, num_heads=HEADS,
+                              ffn_dim=64, depth=2, max_seq=16, seed=9)
+        seq = np.random.default_rng(4).integers(0, 61, size=6)
+        session = model.new_session(0.5)
+        session.append(seq[0])
+        with model.blocks[1].fc1.weight.mutate() as data:
+            data *= 0.5
+        with pytest.raises(PlanError):
+            session.append(seq[1])
+        fresh = model.new_session(0.5)
+        stepwise = np.stack([fresh.append(t) for t in seq])
+        full = live(model, seq.reshape(-1, 1), 0.5)[:, 0]
+        assert np.allclose(stepwise, full, atol=1e-5)
 
 
 def _token_builder(shape):

@@ -140,6 +140,18 @@ class TestIncrementalWidening:
         narrow = full_cost(layer, 4, 0.5)
         assert spent == full - narrow
 
+    @pytest.mark.parametrize("rate,madds", [(0.25, 16 * 16),
+                                            (0.75, 32 * 32), (1.0, 48 * 48)])
+    def test_full_cost_uses_the_layers_own_partition(self, rng, rate,
+                                                     madds):
+        # Three groups of 16: the input width follows in_partition, not
+        # a fixed 8-group split of in_features (12 and 36 wide).
+        layer = SlicedLinear(48, 48, num_groups=3, rng=rng)
+        assert full_cost(layer, 1, rate) == madds
+        x = rng.normal(size=(1, layer.in_partition.width_for(rate)))
+        _, state = forward_narrow(layer, x.astype(np.float32), rate)
+        assert state.x_narrow.shape[-1] * state.y_narrow.shape[-1] == madds
+
     def test_cannot_widen_downward(self, rng):
         layer = self.make_layer(rng)
         x = rng.normal(size=(2, 16)).astype(np.float32)
