@@ -15,13 +15,22 @@ the seeded demo workload (planted easy/hard regions):
   cascade's mean FLOPs budget (the widest profile is reported as the
   reference ceiling it approaches at roughly half the cost).
 
-Everything is seeded and deterministic.  Set ``REPRO_PLAN_SMOKE=1``
-(CI does) for a smaller run.  Results go to ``BENCH_cascade.json`` and
-EXPERIMENTS.md.
+* **Wall time** — median ms/request (warmed repeats, with the
+  interquartile range) of three paths over the same batch: the
+  incremental cascade, recompute escalation, and the fixed-full
+  compiled plan.  Recorded, not asserted: the cascade's saving is in
+  multiply-adds, and its canonical-GEMM arithmetic is slower per
+  multiply-add than the compiled plan's BLAS (see EXPERIMENTS.md).
+
+Everything but the wall times is seeded and deterministic.  Set
+``REPRO_PLAN_SMOKE=1`` (CI does) for a smaller run.  Results go to
+``BENCH_cascade.json`` and EXPERIMENTS.md.
 """
 
 import json
 import os
+import platform
+import time
 
 import numpy as np
 
@@ -42,7 +51,7 @@ from repro.serving import (
     generate_arrivals,
     spike_rate,
 )
-from repro.slicing import ResumablePlan, scratch_madds
+from repro.slicing import ResumablePlan, compile_plan, scratch_madds
 from repro.utils import format_table
 
 BENCH_PATH = os.path.join(
@@ -59,6 +68,8 @@ SLO = 0.1
 DURATION = 8.0 if SMOKE else 20.0
 REPLICAS = 2
 SEED = 0
+WALL_WARMUP = 3
+WALL_REPEATS = 7 if SMOKE else 31
 
 
 def _stages():
@@ -66,6 +77,20 @@ def _stages():
               for rate, threshold in zip(RATES[:-1], THRESHOLDS)]
     stages.append(CascadeStage(RATES[-1]))
     return stages
+
+
+def _wall_ms_per_request(call, requests):
+    """Median and IQR of ``call()`` wall ms per request, warmed up."""
+    for _ in range(WALL_WARMUP):
+        call()
+    samples = []
+    for _ in range(WALL_REPEATS):
+        start = time.perf_counter()
+        call()
+        samples.append((time.perf_counter() - start) * 1e3 / requests)
+    q1, median, q3 = np.percentile(samples, [25, 50, 75])
+    return {"median": round(float(median), 6),
+            "iqr": round(float(q3 - q1), 6)}
 
 
 def _serve(model, inputs, labels, accuracy, controller, cascade,
@@ -125,6 +150,19 @@ def test_cascade_beats_fixed_profiles(emit):
             f"cascade {cascade_accuracy:.3f} does not beat fixed-{rate} "
             f"{fixed[rate]['accuracy']:.3f} at <= its FLOPs")
 
+    # -- wall time: ms/request of the same batch, three paths ----------
+    recompute = CascadeExecutor(model, _stages(), exact=True,
+                                incremental=False)
+    full_plan = compile_plan(model, RATES[-1])
+    wall = {
+        "incremental_cascade": _wall_ms_per_request(
+            lambda: incremental.run_batch(inputs), n),
+        "recompute_escalation": _wall_ms_per_request(
+            lambda: recompute.run_batch(inputs), n),
+        "fixed_full_plan": _wall_ms_per_request(
+            lambda: full_plan.run(inputs), n),
+    }
+
     # -- runtime level: goodput-weighted accuracy ----------------------
     calibrated = incremental.calibrate(inputs, labels)
     marginal = {rate: fixed[rate]["accuracy"] for rate in RATES}
@@ -167,6 +205,12 @@ def test_cascade_beats_fixed_profiles(emit):
         ["policy", "accuracy", "madds/req", "good*acc", "goodput",
          "escalated"], rows,
         title="Confidence cascade vs fixed profiles"))
+    emit("cascade_wall", format_table(
+        ["path", "median ms/req", "IQR ms/req"],
+        [[name, f"{t['median']:.5f}", f"{t['iqr']:.5f}"]
+         for name, t in wall.items()],
+        title=f"Wall time per request (batch {n}, median of "
+              f"{WALL_REPEATS} warmed repeats)"))
 
     with open(BENCH_PATH, "w") as handle:
         json.dump({
@@ -189,6 +233,17 @@ def test_cascade_beats_fixed_profiles(emit):
                 "flops_saved": result.flops_saved,
                 "exits_per_stage": result.stage_counts(),
                 "fixed": {f"{r:g}": fixed[r] for r in RATES},
+            },
+            "wall_ms_per_request": {
+                **wall,
+                "batch": n,
+                "warmup": WALL_WARMUP,
+                "repeats": WALL_REPEATS,
+                "cpu_count": os.cpu_count(),
+                "machine": platform.machine(),
+                "numpy": np.__version__,
+                "openblas_num_threads": os.environ.get(
+                    "OPENBLAS_NUM_THREADS"),
             },
             "runtime": {
                 name: {

@@ -70,15 +70,21 @@ def _resident(model: Module, rate):
     Sliced layers report their active prefix: their own rate (resolved
     per slice point when ``rate`` is a profile) sets the widths they
     produce, and the arriving activation's rate (:func:`arriving_rates`)
-    the widths they consume.  Plain layers report their full size.
+    the widths they consume.  Plain layers report their full size.  A
+    sliced layer's count covers its submodules (``MultiBatchNorm2d``
+    counts only the branch it selects), so they are not walked again.
     """
     profile = as_profile(rate)
     arriving = arriving_rates(model, profile)
+    counted: set[int] = set()
     for module in model.modules():
+        if id(module) in counted:
+            continue
         params = module._parameters.values()
         if hasattr(module, "active_param_count"):
             own = profile.rate_for(getattr(module, "slice_point", None))
             count = module.active_param_count(own, arriving[id(module)])
+            counted.update(id(sub) for sub in module.modules())
         else:
             count = sum(p.size for p in params)
         itemsize = max((p.data.itemsize for p in params),

@@ -99,15 +99,18 @@ class LearnedPositional(Module):
             uniform(rng, (max_len, embedding_dim), init_bound)
         )
 
+    def width_for(self, in_rate: float) -> int:
+        """Columns used by an activation arriving at ``in_rate``."""
+        groups = max(1, min(round(in_rate * self.num_groups),
+                            self.num_groups))
+        return round(self.embedding_dim * groups / self.num_groups)
+
     def active_param_count(self, rate: float,
                            in_rate: float | None = None) -> int:
         # Every position stays resident; the width follows the arriving
         # activation (in_rate, when known), like LayerNorm's.
-        in_rate = rate if in_rate is None else in_rate
-        groups = max(1, min(round(in_rate * self.num_groups),
-                            self.num_groups))
-        width = round(self.embedding_dim * groups / self.num_groups)
-        return self.max_len * width
+        return self.max_len * self.width_for(
+            rate if in_rate is None else in_rate)
 
     def forward(self, x: Tensor) -> Tensor:
         seq_len = x.shape[1] if self.batch_first else x.shape[0]

@@ -22,7 +22,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..nn.attention import MultiHeadSelfAttention
 from ..nn.conv import Conv2d
-from ..nn.embedding import Embedding
+from ..nn.embedding import Embedding, LearnedPositional
 from ..nn.linear import Linear
 from ..nn.module import Module
 from ..nn.norm import GroupNorm
@@ -191,12 +191,23 @@ def _embedding_from(layer: Embedding, rate: float, in_rate: float) -> Embedding:
     return plain
 
 
+def _positional_from(layer: LearnedPositional, rate: float,
+                     in_rate: float) -> LearnedPositional:
+    # Every position is kept; the columns follow the arriving width.
+    width = layer.width_for(in_rate)
+    plain = LearnedPositional(layer.max_len, width,
+                              batch_first=layer.batch_first,
+                              rng=np.random.default_rng(0),
+                              num_groups=min(layer.num_groups, width))
+    _set(plain.weight, layer.weight.data[:, :width])
+    return plain
+
+
 def _multi_bn_from(layer: MultiBatchNorm2d, rate: float,
                    in_rate: float) -> BatchNorm2d:
     # The arriving width (feeding conv's rate) picks the statistics
     # branch, matching the width the live forward would normalize.
-    best = min(layer._rate_keys, key=lambda r: abs(r - in_rate))
-    source: BatchNorm2d = getattr(layer, f"bn_{layer._key(best)}")
+    _, source = layer.branch(in_rate)
     plain = BatchNorm2d(source.num_features, eps=source.eps,
                         momentum=source.momentum)
     _set(plain.weight, source.weight.data)
@@ -217,6 +228,7 @@ _CONVERTERS = [
     (MultiHeadSelfAttention, _attention_from),
     (LayerNorm, _layernorm_from),
     (Embedding, _embedding_from),
+    (LearnedPositional, _positional_from),
 ]
 
 

@@ -358,19 +358,29 @@ class MultiBatchNorm2d(Module):
     def _key(rate: float) -> str:
         return format(rate, ".4f").replace(".", "_")
 
+    def branch(self, rate: float) -> tuple[float, BatchNorm2d]:
+        """The configured rate nearest ``rate`` and its BN instance."""
+        best = min(self._rate_keys, key=lambda r: abs(r - rate))
+        return best, getattr(self, f"bn_{self._key(best)}")
+
+    def active_param_count(self, rate: float,
+                           in_rate: float | None = None) -> int:
+        """Parameters of the one BN branch the arriving width selects."""
+        return self.branch(rate if in_rate is None else in_rate)[1] \
+            .num_parameters()
+
     def forward(self, x: Tensor) -> Tensor:
         # Dispatches on this layer's resolved rate, which must match one
         # of the configured BN widths: non-uniform profiles must assign
         # the feeding conv and this norm the same rate (or leave both at
         # the default) — each BN instance only knows one width.
         rate = resolve_rate(self)
-        best = min(self._rate_keys, key=lambda r: abs(r - rate))
+        best, bn = self.branch(rate)
         if abs(best - rate) > 1e-6:
             raise ShapeError(
                 f"MultiBatchNorm2d has no BN for rate {rate}; "
                 f"configured rates: {self._rate_keys}"
             )
-        bn: BatchNorm2d = getattr(self, f"bn_{self._key(best)}")
         if x.shape[1] != bn.num_features:
             raise ShapeError(
                 f"rate {rate} BN expects {bn.num_features} channels, "

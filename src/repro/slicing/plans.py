@@ -831,12 +831,11 @@ def compile_layer(layer, rate, fold_rescale: bool = True,
                              layer.running_var[:channels],
                              layer.eps, relu=relu)
     if isinstance(layer, MultiBatchNorm2d):
-        best = min(layer._rate_keys, key=lambda r: abs(r - rate))
+        best, bn = layer.branch(rate)
         if abs(best - rate) > 1e-6:
             raise PlanError(
                 f"MultiBatchNorm2d has no BN for rate {rate}; "
                 f"configured rates: {layer._rate_keys}")
-        bn: BatchNorm2d = getattr(layer, f"bn_{layer._key(best)}")
         if in_width is not None and in_width != bn.num_features:
             raise PlanError(
                 f"rate {rate} BN expects {bn.num_features} channels, "

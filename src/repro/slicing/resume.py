@@ -97,11 +97,17 @@ def _f32(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=np.float32)
 
 
+#: Outputs with fewer elements than this sum all K products in one
+#: ``np.add.accumulate`` call: rank-1 updates lose to interpreter cost.
+_SMALL_BLOCK = 1024
+
+
 def _cgemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Canonical ``x @ w.T`` for ``(M, K) x (N, K)`` float32 operands.
 
-    Fixed left-to-right axpy accumulation, vectorized across the batch:
-    ``out[:, j] = ((x[:, 0] * w[j, 0]) + x[:, 1] * w[j, 1]) + ...``.
+    K rank-1 updates of the whole ``(M, N)`` block, in fixed order:
+    ``out[i, j] = ((x[i, 0] * w[j, 0]) + x[i, 1] * w[j, 1]) + ...``
+    (small blocks: ``np.add.accumulate`` along K, the same order).
     Every output element depends only on its own input row and weight
     row, so computing extra columns (N growth) or a row subset (M
     shrink) reproduces the remaining elements bit for bit — the
@@ -109,13 +115,18 @@ def _cgemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     built on, and one BLAS GEMMs do *not* provide (kernel choice, and
     with it the K summation order, varies with the output shape).
     """
-    out = np.empty((x.shape[0], w.shape[0]), dtype=np.float32)
-    for j, row in enumerate(w):
-        acc = x[:, 0] * row[0]
-        for k in range(1, row.shape[0]):
-            acc += x[:, k] * row[k]
-        out[:, j] = acc
-    return out
+    xt = np.ascontiguousarray(x.T)[:, :, None]
+    wt = np.ascontiguousarray(w.T)[:, None, :]
+    if x.shape[0] * w.shape[0] < _SMALL_BLOCK:
+        terms = xt * wt
+        np.add.accumulate(terms, axis=0, out=terms)
+        return terms[-1].astype(np.float32)  # a copy: frees ``terms``
+    out = xt[0] * wt[0]
+    term = np.empty_like(out)
+    for k in range(1, xt.shape[0]):
+        np.multiply(xt[k], wt[k], out=term)
+        out += term
+    return out.astype(np.float32, copy=False)
 
 
 def pointwise_nested(model, narrow, wide) -> bool:

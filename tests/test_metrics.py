@@ -136,7 +136,8 @@ class TestMemoryAccounting:
             assert param_bytes(model, rate) == \
                 4 * active_params(model, rate)
 
-    @pytest.mark.parametrize("kind", ["mlp", "vgg", "tenc", "tlm"])
+    @pytest.mark.parametrize("kind", ["mlp", "vgg", "vgg_multi_bn", "tenc",
+                                      "tlm"])
     def test_param_bytes_equal_compiled_plan_bytes(self, kind):
         # The cost model's weight bytes must be the bytes a replica
         # serving the profile actually holds: its compiled plan's.
@@ -148,13 +149,18 @@ class TestMemoryAccounting:
         model = {
             "mlp": lambda: MLP(16, [32, 24], 4, seed=0),
             "vgg": lambda: SlicedVGG.cifar_mini(num_classes=5, width=8),
+            # One BN per rate; only the branch a rate selects is resident.
+            "vgg_multi_bn": lambda: SlicedVGG.cifar_mini(
+                num_classes=5, width=8, norm="multi_bn",
+                rates=[0.25, 0.5, 1.0]),
             "tenc": lambda: TransformerEncoder(
                 image_size=8, patch_size=4, embed_dim=32, num_heads=4,
                 ffn_dim=64, seed=0),
             "tlm": lambda: TransformerLM(31, embed_dim=32, num_heads=4,
                                          ffn_dim=64, max_seq=12, seed=0),
         }[kind]()
-        profiles = [0.25, 0.5, 0.75, 1.0]
+        profiles = [0.25, 0.5, 1.0] if kind == "vgg_multi_bn" \
+            else [0.25, 0.5, 0.75, 1.0]
         if kind in ("tenc", "tlm"):
             profiles += [head_ffn_profile(model, h, f)
                          for h, f in [(0.5, 1.0), (1.0, 0.25),

@@ -31,7 +31,8 @@ from hypothesis import strategies as st
 
 from repro.cluster import CostTable, NodeSpec
 from repro.errors import PlanError, ShapeError
-from repro.metrics.flops import measured_flops, memory_of_profile
+from repro.metrics.flops import (measured_flops, memory_of_profile,
+                                 param_bytes)
 from repro.models import MLP, TransformerEncoder, TransformerLM
 from repro.models.transformer import (head_ffn_profile,
                                       transformer_search_points)
@@ -140,6 +141,19 @@ class TestThreeWayDifferential:
         expected = live(lm, tokens, profile)
         assert np.array_equal(compile_plan(lm, profile).run(tokens),
                               expected)
+
+    @pytest.mark.parametrize("kind", ["enc", "lm"])
+    @pytest.mark.parametrize("point", [0.25, 0.5, 1.0] + HEAD_FFN)
+    def test_materialized_bytes_equal_param_bytes(self, enc, lm, kind,
+                                                  point):
+        # A deployed subnet holds exactly the bytes the cost model
+        # budgets, positional table included (only its active columns).
+        model = {"enc": enc, "lm": lm}[kind]
+        profile = head_ffn_profile(model, *point) \
+            if isinstance(point, tuple) else point
+        subnet = materialize_subnet(model, profile)
+        assert sum(p.data.nbytes for p in subnet.parameters()) == \
+            param_bytes(model, profile)
 
     def test_fc2_must_stay_at_residual_width(self, lm, tokens):
         bad = LayerProfile({"blocks.0.fc2": 0.5}, default=1.0)
